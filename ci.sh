@@ -26,12 +26,12 @@ fi
 echo "    library crates clean"
 
 echo "==> no unwrap() on the BFT ingress path (malformed input must reject, not panic)"
-for f in replica.rs consensus.rs messages.rs client.rs storage.rs batcher.rs; do
+for f in replica.rs consensus.rs messages.rs client.rs storage.rs obs.rs; do
     # Only the production half of each module counts — cut at the test module.
     offenders=$(awk '/^(#\[cfg\(test\)\]|mod tests)/{exit} {print FILENAME":"NR": "$0}' \
         "crates/bft/src/$f" | grep '\.unwrap()' | grep -v 'unwrap_or' || true)
     if [ -n "$offenders" ]; then
-        echo "FAIL: unwrap() on the ingress path — reject() the message instead:" >&2
+        echo "FAIL: unwrap() on the ingress path — emit ProtocolEvent::Rejected instead:" >&2
         echo "$offenders" >&2
         exit 1
     fi

@@ -1,15 +1,16 @@
 //! Pipelining benchmark: throughput and client latency across the
-//! consensus window sweep (`window ∈ {1, 2, 4, 8}`) crossed with the two
-//! batch-sizing policies (fixed vs adaptive), on the echo hot path and the
-//! YCSB 50/50 key-value workload.
+//! consensus window sweep (`window ∈ {1, 2, 4, 8}`), on the echo hot path
+//! and the YCSB 50/50 key-value workload. Leaders batch greedily (every
+//! eligible request up to `max_batch`); cells keep their historical
+//! `_fixed` suffix so rows stay comparable with earlier reports.
 //!
 //! Outputs:
 //! - `BENCH_pipeline.json` (or `[out_path]`) — schema-versioned report with
-//!   one workload entry per `(workload, window, policy)` cell, diffable by
+//!   one workload entry per `(workload, window)` cell, diffable by
 //!   `perf_report` against a committed baseline.
 //! - `bench_pipeline_metrics.json` (under `$LAZARUS_METRICS_DIR` when set)
 //!   — the representative cell's observability snapshot plus a
-//!   `pipeline_ops_s{workload=…,window=…,policy=…}` gauge per cell.
+//!   `pipeline_ops_s{workload=…,window=…}` gauge per cell.
 //!
 //! Every number is virtual-time, so both files are byte-identical across
 //! runs and at any `LAZARUS_THREADS` setting.
@@ -21,7 +22,6 @@ use lazarus_apps::kvs::KvsService;
 use lazarus_apps::ycsb::{YcsbConfig, YcsbWorkload};
 use lazarus_bench::perf::Suite;
 use lazarus_bench::{measure_throughput_configured, write_bench_json, ThroughputRun};
-use lazarus_bft::batcher::BatchPolicy;
 use lazarus_bft::service::CounterService;
 use lazarus_obs::Registry;
 use lazarus_testbed::cluster::SimConfig;
@@ -66,27 +66,9 @@ const SMOKE: Preset = Preset {
     ycsb_secs: 2,
 };
 
-fn policy_name(policy: BatchPolicy) -> &'static str {
-    match policy {
-        BatchPolicy::Fixed => "fixed",
-        BatchPolicy::Adaptive => "adaptive",
-    }
-}
-
-/// Runs one `(workload, window, policy)` cell and folds it into the suite.
-fn run_cell(
-    preset: &Preset,
-    workload: &str,
-    window: u64,
-    policy: BatchPolicy,
-    suite: &mut Suite,
-) -> ThroughputRun {
-    let cfg = SimConfig {
-        window,
-        batch_policy: policy,
-        max_batch: preset.max_batch,
-        ..SimConfig::default()
-    };
+/// Runs one `(workload, window)` cell and folds it into the suite.
+fn run_cell(preset: &Preset, workload: &str, window: u64, suite: &mut Suite) -> ThroughputRun {
+    let cfg = SimConfig { window, max_batch: preset.max_batch, ..SimConfig::default() };
     let profiles = [PerfProfile::bare_metal(); 4];
     let run = match workload {
         "echo" => measure_throughput_configured(
@@ -109,7 +91,7 @@ fn run_cell(
             )
         }
     };
-    let cell = format!("{workload}_w{window}_{}", policy_name(policy));
+    let cell = format!("{workload}_w{window}_fixed");
     println!("{cell}: {:.0} ops/s", run.throughput_ops_s);
     suite.push(&cell, "throughput_ops_s", run.throughput_ops_s);
     if let Some(s) = run.summary {
@@ -140,38 +122,36 @@ fn main() {
     let mut suite = Suite::new();
     suite.push("meta", "smoke", if preset.smoke { 1.0 } else { 0.0 });
 
-    // The representative cell's registry (echo, window 4, adaptive) anchors
-    // the metrics report; the per-cell gauges are added to it below.
+    // The representative cell's registry (echo, window 4) anchors the
+    // metrics report; the per-cell gauges are added to it below.
     let mut metrics_registry: Option<Registry> = None;
-    let mut ops: Vec<(String, u64, &'static str, f64)> = Vec::new();
+    let mut ops: Vec<(&'static str, u64, f64)> = Vec::new();
     for workload in ["echo", "ycsb"] {
         for &window in &WINDOWS {
-            for policy in [BatchPolicy::Fixed, BatchPolicy::Adaptive] {
-                let run = run_cell(&preset, workload, window, policy, &mut suite);
-                ops.push((workload.to_string(), window, policy_name(policy), run.throughput_ops_s));
-                if workload == "echo" && window == 4 && policy == BatchPolicy::Adaptive {
-                    metrics_registry = Some(run.obs.registry.clone());
-                }
+            let run = run_cell(&preset, workload, window, &mut suite);
+            ops.push((workload, window, run.throughput_ops_s));
+            if workload == "echo" && window == 4 {
+                metrics_registry = Some(run.obs.registry.clone());
             }
         }
     }
 
-    // Headline: the paper-style claim that a deeper window with adaptive
-    // batching beats the classic one-slot pipeline.
+    // Headline: the paper-style claim that a deeper window beats the
+    // classic one-slot pipeline.
     for workload in ["echo", "ycsb"] {
         let base = ops
             .iter()
-            .find(|(w, win, pol, _)| w == workload && *win == 1 && *pol == "fixed")
-            .map(|(_, _, _, v)| *v)
+            .find(|(w, win, _)| *w == workload && *win == 1)
+            .map(|(_, _, v)| *v)
             .unwrap_or(0.0);
         let best = ops
             .iter()
-            .filter(|(w, win, pol, _)| w == workload && *win >= 2 && *pol == "adaptive")
-            .map(|(_, _, _, v)| *v)
+            .filter(|(w, win, _)| *w == workload && *win >= 2)
+            .map(|(_, _, v)| *v)
             .fold(0.0f64, f64::max);
         if base > 0.0 {
             println!(
-                "{workload}: best pipelined+adaptive {:.0} ops/s vs single-slot {:.0} (+{:.0}%)",
+                "{workload}: best pipelined {:.0} ops/s vs single-slot {:.0} (+{:.0}%)",
                 best,
                 base,
                 (best / base - 1.0) * 100.0
@@ -180,11 +160,11 @@ fn main() {
     }
 
     let registry = metrics_registry.expect("representative cell ran");
-    for (workload, window, policy, v) in &ops {
+    for (workload, window, v) in &ops {
         registry
             .gauge_with(
                 "pipeline_ops_s",
-                &[("workload", workload), ("window", &window.to_string()), ("policy", policy)],
+                &[("workload", workload), ("window", &window.to_string())],
             )
             .set(*v);
     }

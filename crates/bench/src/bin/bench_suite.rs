@@ -23,7 +23,6 @@ use lazarus_bench::perf::Suite;
 use lazarus_bench::{
     measure_throughput_configured, measure_throughput_profiled, write_bench_json, ThroughputRun,
 };
-use lazarus_bft::batcher::BatchPolicy;
 use lazarus_bft::service::{BlobService, CounterService};
 use lazarus_bft::types::{Epoch, Membership, ReplicaId};
 use lazarus_obs::{Profiler, QueueSample};
@@ -140,19 +139,14 @@ fn sweep_workload(
 }
 
 /// Consensus-window sweep in the batch-capped regime (`max_batch` well
-/// below the client population), adaptive batching: the throughput of
-/// each window depth lands in the baseline so `perf_report` catches a
-/// pipelining regression, not just a hot-path one.
+/// below the client population): the throughput of each window depth
+/// lands in the baseline so `perf_report` catches a pipelining regression,
+/// not just a hot-path one.
 fn window_workload(preset: &Preset, suite: &mut Suite) {
     let clients = if preset.smoke { 24 } else { 64 };
     let max_batch = if preset.smoke { 8 } else { 16 };
     for window in [1u64, 2, 4] {
-        let cfg = SimConfig {
-            window,
-            batch_policy: BatchPolicy::Adaptive,
-            max_batch,
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig { window, max_batch, ..SimConfig::default() };
         let run = measure_throughput_configured(
             cfg,
             &[PerfProfile::bare_metal(); 4],

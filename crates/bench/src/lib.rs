@@ -90,7 +90,7 @@ pub fn measure_throughput_profiled(
 
 /// As [`measure_throughput_observed`], but on a caller-supplied
 /// [`SimConfig`] — the pipelining benchmarks sweep `window` and
-/// `batch_policy`, which the default-config helpers pin to the classic
+/// `max_batch`, which the default-config helpers pin to the classic
 /// one-slot pipeline.
 pub fn measure_throughput_configured(
     cfg: SimConfig,

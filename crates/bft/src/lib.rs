@@ -9,8 +9,6 @@
 //!   checkpoints, state transfer, and controller-driven replica-set
 //!   **reconfiguration** (the mechanism Lazarus uses to rotate diverse
 //!   replicas in and out, paper §5.2/§7.3);
-//! * [`batcher`] — the leader-side batch assembler (fixed or
-//!   queue-depth-adaptive sizing);
 //! * [`client`] — the `f + 1`-matching-replies client;
 //! * [`service`] — the deterministic state-machine trait applications
 //!   implement;
@@ -45,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod client;
 pub mod consensus;
 pub mod crypto;
@@ -59,7 +56,6 @@ pub mod storage;
 pub mod testkit;
 pub mod types;
 
-pub use batcher::BatchPolicy;
 pub use client::Client;
 pub use obs::Instruments;
 pub use replica::{Action, Ctx, Replica, ReplicaConfig, Status, TimerId};

@@ -569,10 +569,9 @@ impl Message {
 /// Layout: `[MAGIC][VERSION][header_len: u16 BE][header][payload]` where
 /// `header` is `[flags: u8]` followed by flag-gated extensions (today only
 /// [`FLAG_TRACE_CTX`] → a 24-byte [`TraceCtx`]). `header_len` counts the
-/// header bytes only, so a decoder that understands *no* flags — see
-/// [`decode_legacy`](envelope::decode_legacy) — skips the header wholesale
-/// and still recovers the payload: trace contexts are forward-compatible
-/// metadata, never load-bearing.
+/// header bytes only, so a decoder skips flag-gated extensions it does not
+/// understand and still recovers the payload: trace contexts are
+/// forward-compatible metadata, never load-bearing.
 pub mod envelope {
     use super::TraceCtx;
 
@@ -602,9 +601,14 @@ pub mod envelope {
         out
     }
 
-    /// Splits `frame` into `(header, payload)` after validating magic,
-    /// version, and length. `None` on malformed input.
-    fn split(frame: &[u8]) -> Option<(&[u8], &[u8])> {
+    /// Decodes a frame into its optional [`TraceCtx`] and payload after
+    /// validating magic, version, and length. `None` on malformed input.
+    ///
+    /// Unknown header flags are ignored (their extension bytes, if any,
+    /// were length-prefixed away by `header_len`), so a v1 decoder accepts
+    /// frames from future encoders that only add flag-gated extensions.
+    #[must_use]
+    pub fn decode(frame: &[u8]) -> Option<(Option<TraceCtx>, &[u8])> {
         if frame.len() < 4 || frame[0] != MAGIC || frame[1] == 0 || frame[1] > VERSION {
             return None;
         }
@@ -613,17 +617,7 @@ pub mod envelope {
         if body.len() < header_len {
             return None;
         }
-        Some((&body[..header_len], &body[header_len..]))
-    }
-
-    /// Decodes a frame into its optional [`TraceCtx`] and payload.
-    ///
-    /// Unknown header flags are ignored (their extension bytes, if any,
-    /// were length-prefixed away by `header_len`), so a v1 decoder accepts
-    /// frames from future encoders that only add flag-gated extensions.
-    #[must_use]
-    pub fn decode(frame: &[u8]) -> Option<(Option<TraceCtx>, &[u8])> {
-        let (header, payload) = split(frame)?;
+        let (header, payload) = body.split_at(header_len);
         let flags = *header.first()?;
         let ctx = if flags & FLAG_TRACE_CTX != 0 {
             Some(TraceCtx::decode(header.get(1..)?)?)
@@ -631,15 +625,6 @@ pub mod envelope {
             None
         };
         Some((ctx, payload))
-    }
-
-    /// A decoder that predates the trace-context envelope: it understands
-    /// no flags and skips the whole header by length. Demonstrates (and
-    /// pins, via tests) the forward-compatibility contract — old nodes
-    /// accept traced frames and simply lose the metadata.
-    #[must_use]
-    pub fn decode_legacy(frame: &[u8]) -> Option<&[u8]> {
-        split(frame).map(|(_, payload)| payload)
     }
 }
 
@@ -762,20 +747,8 @@ mod tests {
         assert_eq!(envelope::decode(&truncated_header), None);
     }
 
-    #[test]
-    fn legacy_decoder_skips_unknown_header_flags() {
-        // A frame using a flag the legacy decoder has never heard of still
-        // yields the payload, because the header is length-prefixed.
-        let ctx = TraceCtx { trace_id: 3, parent_id: 2, span_id: 1 };
-        let framed = envelope::encode(Some(&ctx), b"payload");
-        assert_eq!(envelope::decode_legacy(&framed), Some(b"payload".as_slice()));
-        assert_eq!(envelope::decode_legacy(&envelope::encode(None, b"p")), Some(b"p".as_slice()));
-        assert_eq!(envelope::decode_legacy(&[0u8; 2]), None);
-    }
-
     proptest::proptest! {
-        /// Satellite: any `TraceCtx` wire round-trips through the envelope,
-        /// and a decoder without envelope support still accepts the frame.
+        /// Any `TraceCtx` wire round-trips through the envelope.
         #[test]
         fn envelope_ctx_round_trip(
             trace_id in 0u64..=u64::MAX,
@@ -788,9 +761,6 @@ mod tests {
             let (decoded, body) = envelope::decode(&framed).expect("well-formed frame");
             proptest::prop_assert_eq!(decoded, Some(ctx));
             proptest::prop_assert_eq!(body, payload.as_bytes());
-            // Forward compatibility: the ctx-blind decoder recovers the
-            // identical payload from the same frame.
-            proptest::prop_assert_eq!(envelope::decode_legacy(&framed), Some(payload.as_bytes()));
         }
     }
 

@@ -15,9 +15,11 @@
 //!
 //! # Simplifications vs. a hardened deployment
 //!
-//! * Message authentication uses pairwise MACs from the simulated
-//!   [`Keyring`](crate::crypto::Keyring); leader-change certificates are
-//!   accepted from quorum counting without per-vote signatures.
+//! * Only client requests, replies, and controller commands carry MACs
+//!   (from the simulated [`Keyring`](crate::crypto::Keyring)).
+//!   Inter-replica messages are unauthenticated: their `from` field is
+//!   trusted as declared, and leader-change certificates are accepted from
+//!   quorum counting without per-vote signatures.
 //! * The client-reply cache is not carried by state transfer, so a freshly
 //!   transferred replica may re-execute one in-flight duplicate per client
 //!   (clients filter by `op`, so this is invisible to callers).
@@ -26,7 +28,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use lazarus_obs::causal::{EventKind, FlightRecorder, TraceCtx, NO_SPAN};
+use lazarus_obs::causal::{TraceCtx, NO_SPAN};
 use lazarus_obs::profile::{Profiler, Scope};
 
 use crate::consensus::Instance;
@@ -36,7 +38,7 @@ use crate::messages::{
     Batch, CheckpointMsg, ChunkManifest, ConsensusMsg, CstReply, Message, ReconfigCommand, Reply,
     Request, WriteCertificate,
 };
-use crate::obs::ReplicaObs;
+use crate::obs::{Instruments, ProtocolEvent, ReplicaObs};
 use crate::service::Service;
 use crate::storage::{Recovered, Storage};
 use crate::types::{ClientId, Epoch, Membership, ReplicaId, SeqNo, View};
@@ -197,8 +199,6 @@ pub struct ReplicaConfig {
     /// the last executed slot (BFT-SMaRt-style). 1 (the default) keeps the
     /// classic single-open-slot behaviour; values are clamped to at least 1.
     pub window: u64,
-    /// How the leader sizes proposal batches (see [`crate::batcher`]).
-    pub batch_policy: crate::batcher::BatchPolicy,
 }
 
 impl ReplicaConfig {
@@ -216,7 +216,6 @@ impl ReplicaConfig {
             initial_view: View(0),
             cst_chunk_bytes: 256 * 1024,
             window: 1,
-            batch_policy: crate::batcher::BatchPolicy::Fixed,
         }
     }
 }
@@ -321,13 +320,11 @@ pub struct Replica<S: Service> {
     cst: Option<CstState>,
     chunk_store: Option<ChunkStore>,
 
-    // Optional instrumentation (None = one branch per hook).
-    obs: Option<ReplicaObs>,
-
-    // Optional causal flight recorder, plus the context of the input
-    // currently being handled — every protocol event recorded while an
-    // input runs is parented to that input's receive (or timer) span.
-    flight: Option<FlightRecorder>,
+    // Sinks of this replica's protocol events (None = one branch per
+    // event), plus the context of the input currently being handled —
+    // every event recorded while an input runs is parented to that input's
+    // receive (or timer) span.
+    sinks: Option<ReplicaObs>,
     cur_ctx: TraceCtx,
 
     // Optional phase profiler, plus the root scope of the input currently
@@ -425,10 +422,7 @@ impl<S: Service> Replica<S> {
     /// [`Replica::recover`] because instrumentation attaches after
     /// construction ([`Self::attach`]).
     pub fn note_recovered(&mut self, info: &RecoveryInfo) {
-        if let Some(obs) = &self.obs {
-            obs.recovered(info.stable_seq, info.virtual_us, info.torn_tail);
-        }
-        self.flight_event(EventKind::Recover, Some(info.stable_seq.0), None, info.virtual_us);
+        self.emit(ProtocolEvent::Recovered(info.stable_seq, info.virtual_us, info.torn_tail));
     }
 
     fn fresh(cfg: ReplicaConfig, service: S, log: DecidedLog) -> Replica<S> {
@@ -459,8 +453,7 @@ impl<S: Service> Replica<S> {
             sent_stop_for: None,
             cst: None,
             chunk_store: None,
-            obs: None,
-            flight: None,
+            sinks: None,
             cur_ctx: TraceCtx::root(NO_SPAN, NO_SPAN),
             profiler: None,
             cur_scope: None,
@@ -526,11 +519,11 @@ impl<S: Service> Replica<S> {
     /// Attaches an instrumentation bundle: metrics, health tracking, the
     /// causal flight recorder, and the phase profiler — each optional,
     /// applied in dependency order (the health tracker hooks into the
-    /// metrics bundle, so `obs` attaches first).
+    /// metrics bundle, so `obs` attaches first). Attaching is additive:
+    /// fields absent from `instruments` keep what an earlier call attached.
     ///
     /// * metrics (`obs`) — per-replica counters/histograms against the
-    ///   shared registry and injected clock; without one every hook is a
-    ///   single `Option` branch;
+    ///   shared registry and injected clock;
     /// * health — the streaming tracker; the replica registers itself under
     ///   its current view and leader (requires metrics, now or earlier);
     /// * flight — protocol milestones (propose / write / accept / commit /
@@ -541,52 +534,16 @@ impl<S: Service> Replica<S> {
     ///   phases as children. In the discrete-event testbed the clock is
     ///   frozen while a handler runs, so scopes contribute deterministic
     ///   call counts; virtual time is charged by the embedder.
-    pub fn attach(&mut self, instruments: crate::obs::Instruments) {
-        if let Some(obs) = &instruments.obs {
-            self.obs = Some(ReplicaObs::new(obs, self.cfg.id));
-        }
-        if let Some(health) = instruments.health {
-            let view = self.view;
-            let leader = self.membership.leader(view);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.attach_health(health, view, leader);
-            }
-        }
-        if let Some(flight) = instruments.flight {
-            self.flight = Some(flight);
-        }
-        if let Some(profiler) = instruments.profiler {
+    pub fn attach(&mut self, mut instruments: Instruments) {
+        if let Some(profiler) = instruments.profiler.take() {
             self.profiler = Some(profiler);
         }
-    }
-
-    /// Attaches the metrics bundle only.
-    #[deprecated(note = "use Replica::attach with an Instruments bundle")]
-    pub fn attach_obs(&mut self, obs: &lazarus_obs::Obs) {
-        self.attach(crate::obs::Instruments::new().with_obs(obs.clone()));
-    }
-
-    /// Attaches the streaming health tracker only.
-    #[deprecated(note = "use Replica::attach with an Instruments bundle")]
-    pub fn attach_health(&mut self, health: lazarus_obs::HealthTracker) {
-        self.attach(crate::obs::Instruments::new().with_health(health));
-    }
-
-    /// Attaches the causal flight recorder only.
-    #[deprecated(note = "use Replica::attach with an Instruments bundle")]
-    pub fn attach_flight(&mut self, flight: FlightRecorder) {
-        self.attach(crate::obs::Instruments::new().with_flight(flight));
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Attaches the phase profiler only.
-    #[deprecated(note = "use Replica::attach with an Instruments bundle")]
-    pub fn attach_profiler(&mut self, profiler: Profiler) {
-        self.attach(crate::obs::Instruments::new().with_profiler(profiler));
+        if instruments.obs.is_none() && instruments.flight.is_none() && self.sinks.is_none() {
+            return; // nothing to record into
+        }
+        let (view, leader) = (self.view, self.membership.leader(self.view));
+        let id = self.cfg.id;
+        self.sinks.get_or_insert_with(|| ReplicaObs::new(id)).attach(instruments, view, leader);
     }
 
     /// Opens the root scope for one input; the returned value is stored in
@@ -621,31 +578,11 @@ impl<S: Service> Replica<S> {
         self.last_batch_fill
     }
 
-    /// Records one protocol event under the current input's context.
-    fn flight_event(&self, event: EventKind, seq: Option<u64>, view: Option<u64>, extra: u64) {
-        if let Some(flight) = &self.flight {
-            flight.protocol(event, seq, view, &self.cur_ctx, extra);
-        }
-    }
-
-    /// Counts a refused ingress message under
-    /// `bft_rejected_messages_total{reason=…}`. Rejection is the designed
-    /// response to forged, stale, or Byzantine traffic: drop, count, move
-    /// on — never panic. This variant is for rejections with no
-    /// attributable replica (client-origin, or benign pipeline skew like
-    /// votes on already-decided slots); it carries no health charge.
-    fn reject(&self, reason: &'static str) {
-        if let Some(obs) = &self.obs {
-            obs.rejected(reason, None);
-        }
-    }
-
-    /// As [`Self::reject`], but the refused message came from member
-    /// replica `from` whose own behaviour caused the refusal — the health
-    /// tracker charges the rejection to that sender.
-    fn reject_from(&self, reason: &'static str, from: ReplicaId) {
-        if let Some(obs) = &self.obs {
-            obs.rejected(reason, Some(from));
+    /// Records one protocol milestone into the attached sinks, under the
+    /// current input's context.
+    fn emit(&mut self, event: ProtocolEvent) {
+        if let Some(sinks) = self.sinks.as_mut() {
+            sinks.record(event, &self.cur_ctx);
         }
     }
 
@@ -689,9 +626,7 @@ impl<S: Service> Replica<S> {
             return Vec::new();
         }
         self.cur_scope = self.input_scope("on_message", message.label());
-        if let Some(obs) = &self.obs {
-            obs.message_in(message.label());
-        }
+        self.emit(ProtocolEvent::MessageIn(message.label()));
         let mut actions = Vec::new();
         match message {
             Message::Request(request) => {
@@ -733,13 +668,6 @@ impl<S: Service> Replica<S> {
         actions
     }
 
-    /// [`on_message`](Replica::on_message) with the context passed as a
-    /// bare optional trace.
-    #[deprecated(note = "use on_message(message, ctx) with a replica::Ctx")]
-    pub fn on_message_traced(&mut self, message: Message, ctx: Option<TraceCtx>) -> Vec<Action> {
-        self.on_message(message, Ctx::from(ctx))
-    }
-
     /// Handles a timer expiry under the given input [`Ctx`] (the
     /// transport's timer span — timers are causal roots of everything they
     /// trigger, e.g. watchdog-driven view changes).
@@ -775,13 +703,6 @@ impl<S: Service> Replica<S> {
         actions
     }
 
-    /// [`on_timer`](Replica::on_timer) with the context passed as a bare
-    /// optional trace.
-    #[deprecated(note = "use on_timer(timer, ctx) with a replica::Ctx")]
-    pub fn on_timer_traced(&mut self, timer: TimerId, ctx: Option<TraceCtx>) -> Vec<Action> {
-        self.on_timer(timer, Ctx::from(ctx))
-    }
-
     // -----------------------------------------------------------------
     // Requests and proposals
     // -----------------------------------------------------------------
@@ -796,19 +717,19 @@ impl<S: Service> Replica<S> {
         };
         let bytes = Request::auth_bytes(request.client, request.op, &request.payload);
         if !self.keyring.verify(principal, &bytes, &request.tag) {
-            self.reject("bad-request-sig");
+            self.emit(ProtocolEvent::Rejected("bad-request-sig", None));
             return;
         }
         // Drop already-answered or queued duplicates.
         if let Some(ledger) = self.last_replies.get(&request.client) {
             if ledger.executed(request.op) && request.client != CONTROLLER_CLIENT {
-                self.reject("stale-request");
+                self.emit(ProtocolEvent::Rejected("stale-request", None));
                 return;
             }
         }
         let digest = request.digest();
         if self.pending_digests.contains(&digest) {
-            self.reject("duplicate-request");
+            self.emit(ProtocolEvent::Rejected("duplicate-request", None));
             return;
         }
         self.pending_digests.insert(digest);
@@ -839,34 +760,19 @@ impl<S: Service> Replica<S> {
     /// Fills vacant window slots with proposals. With `window=1` this is
     /// the classic single-open-slot assembler; with a wider window the
     /// leader keeps proposing into free slots while earlier slots are still
-    /// gathering votes, and the [`crate::batcher`] policy decides how much
-    /// of the eligible queue each proposal carries.
+    /// gathering votes. Each proposal greedily carries every eligible
+    /// pending request, up to `max_batch`.
     fn maybe_propose(&mut self, actions: &mut Vec<Action>) {
         if self.status != Status::Active || !self.is_leader() {
             return;
         }
         loop {
-            // Lowest vacant in-window slot, and the free-slot count the
-            // adaptive policy divides the queue over.
-            let mut target = None;
-            let mut free = 0u64;
-            for s in self.last_decided.0 + 1..=self.horizon() {
-                let vacant = self.insts.get(&s).is_none_or(|i| i.batch.is_none() && !i.decided);
-                if vacant {
-                    free += 1;
-                    if target.is_none() {
-                        target = Some(SeqNo(s));
-                    }
-                }
-            }
-            let Some(seq) = target else { return };
+            // Lowest vacant in-window slot.
+            let target = (self.last_decided.0 + 1..=self.horizon())
+                .find(|s| self.insts.get(s).is_none_or(|i| i.batch.is_none() && !i.decided));
+            let Some(seq) = target.map(SeqNo) else { return };
             let eligible = self.pending.len().saturating_sub(self.in_flight.len());
-            let take = crate::batcher::plan_take(
-                self.cfg.batch_policy,
-                eligible,
-                free,
-                self.cfg.max_batch,
-            );
+            let take = eligible.min(self.cfg.max_batch.max(1));
             if take == 0 {
                 return;
             }
@@ -908,7 +814,7 @@ impl<S: Service> Replica<S> {
     fn on_consensus(&mut self, from: ReplicaId, msg: ConsensusMsg, actions: &mut Vec<Action>) {
         let seq = msg.seq();
         if seq <= self.last_decided {
-            self.reject("stale-consensus");
+            self.emit(ProtocolEvent::Rejected("stale-consensus", None));
             // A member still voting on the slot we just decided is lagging
             // one slot behind (its votes were lost). Decided values are
             // permanent, so re-voting WRITE + ACCEPT for the logged batch is
@@ -926,18 +832,9 @@ impl<S: Service> Replica<S> {
                 && self.membership.contains(from)
                 && self.helped.get(&from) != Some(&(seq, view))
             {
-                if let Some(batch) = self.log.get(seq) {
+                if let Some(digest) = self.log.get(seq).map(Batch::digest) {
                     self.helped.insert(from, (seq, view));
-                    if let Some(obs) = &self.obs {
-                        obs.help_revote(from, seq);
-                    }
-                    self.flight_event(
-                        EventKind::HelpRevote,
-                        Some(seq.0),
-                        Some(view.0),
-                        u64::from(from.0),
-                    );
-                    let digest = batch.digest();
+                    self.emit(ProtocolEvent::HelpRevote(from, seq, view));
                     for vote in [
                         ConsensusMsg::Write { view, seq, digest },
                         ConsensusMsg::Accept { view, seq, digest },
@@ -960,7 +857,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         if !self.membership.contains(from) {
-            self.reject("non-member");
+            self.emit(ProtocolEvent::Rejected("non-member", None));
             return;
         }
         if seq.0 > self.horizon() {
@@ -1003,30 +900,27 @@ impl<S: Service> Replica<S> {
         match msg {
             ConsensusMsg::Propose { view: pview, seq, batch } => {
                 if pview != view {
-                    self.reject_from("wrong-view", from);
+                    self.emit(ProtocolEvent::Rejected("wrong-view", Some(from)));
                     return;
                 }
                 // Only the leader of the view may propose.
                 if from != self.membership.leader(view) {
-                    self.reject_from("not-leader", from);
+                    self.emit(ProtocolEvent::Rejected("not-leader", Some(from)));
                     return;
                 }
                 // Our own proposals were tag-verified request by request as
                 // they were enqueued; a remote leader's batch gets the full
                 // validity check here.
                 if from != self.cfg.id && !self.verify_batch(&batch) {
-                    self.reject_from("bad-batch", from);
+                    self.emit(ProtocolEvent::Rejected("bad-batch", Some(from)));
                     return;
                 }
                 let inst = self.instance(seq);
                 if !inst.set_proposal(pview, batch) {
-                    self.reject_from("equivocation", from);
+                    self.emit(ProtocolEvent::Rejected("equivocation", Some(from)));
                     return;
                 }
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.proposal_seen(seq);
-                }
-                self.flight_event(EventKind::Propose, Some(seq.0), Some(pview.0), 0);
+                self.emit(ProtocolEvent::Proposed(seq, pview));
             }
             ConsensusMsg::Write { view: wview, seq, digest } => {
                 self.instance(seq).on_write(from, wview, digest);
@@ -1067,10 +961,7 @@ impl<S: Service> Replica<S> {
             inst.on_write(me, view, digest);
             let msg = ConsensusMsg::Write { view, seq, digest };
             self.broadcast_consensus(msg, actions);
-            self.flight_event(EventKind::Write, Some(seq.0), Some(view.0), 0);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.wrote(seq);
-            }
+            self.emit(ProtocolEvent::Wrote(seq, view));
             // fallthrough to re-check quorums with our own vote
         }
         let inst = self.insts.get_mut(&seq.0).expect("instance exists");
@@ -1080,10 +971,7 @@ impl<S: Service> Replica<S> {
             inst.on_accept(me, view, digest);
             let msg = ConsensusMsg::Accept { view, seq, digest };
             self.broadcast_consensus(msg, actions);
-            self.flight_event(EventKind::Accept, Some(seq.0), Some(view.0), 0);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.accepted(seq);
-            }
+            self.emit(ProtocolEvent::Accepted(seq, view));
         }
         let inst = self.insts.get_mut(&seq.0).expect("instance exists");
         // Decision. The slot may be ahead of the contiguous prefix — it
@@ -1113,15 +1001,7 @@ impl<S: Service> Replica<S> {
             let checkpoint_due = self.log.append(next, batch.clone());
             self.execute_batch(next, &batch, actions);
             self.last_decided = next;
-            if let Some(obs) = self.obs.as_mut() {
-                obs.decided(next);
-            }
-            self.flight_event(
-                EventKind::Commit,
-                Some(next.0),
-                Some(self.view.0),
-                batch.len() as u64,
-            );
+            self.emit(ProtocolEvent::Decided(next, self.view, batch.len()));
             if checkpoint_due {
                 let snapshot = self.service.snapshot();
                 let digest = self.log.local_checkpoint(next, snapshot);
@@ -1130,9 +1010,7 @@ impl<S: Service> Replica<S> {
                 // Count our own vote.
                 let quorum = self.membership.quorum();
                 self.log.on_checkpoint_vote(self.cfg.id, next, digest, quorum);
-                if let Some(obs) = &self.obs {
-                    obs.checkpoint(next);
-                }
+                self.emit(ProtocolEvent::Checkpoint(next));
             }
             // Progress resets the watchdog escalation (and its baseline, so
             // the next timer tick doesn't see stale progress).
@@ -1187,10 +1065,7 @@ impl<S: Service> Replica<S> {
                 actions.push(Action::SendClient(request.client, reply));
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.executed(executed);
-        }
-        self.flight_event(EventKind::Exec, Some(seq.0), None, executed as u64);
+        self.emit(ProtocolEvent::Executed(seq, executed));
         actions.push(Action::Executed(seq, executed));
     }
 
@@ -1260,11 +1135,11 @@ impl<S: Service> Replica<S> {
             return;
         }
         if !self.membership.contains(from) {
-            self.reject("non-member");
+            self.emit(ProtocolEvent::Rejected("non-member", None));
             return;
         }
         if view < self.view {
-            self.reject("stale-view-change");
+            self.emit(ProtocolEvent::Rejected("stale-view-change", None));
             return;
         }
         self.record_stop(from, view, actions);
@@ -1311,17 +1186,14 @@ impl<S: Service> Replica<S> {
     /// accepted (or decided), violating agreement.
     fn adopt_view(&mut self, view: View) {
         self.view = view;
-        self.flight_event(EventKind::ViewChange, None, Some(view.0), 1);
+        self.emit(ProtocolEvent::ViewAdopted(view));
     }
 
     fn install_view(&mut self, new_view: View, actions: &mut Vec<Action>) {
         self.view = new_view;
         self.stops.remove(&new_view.0.saturating_sub(1));
         let new_leader = self.membership.leader(new_view);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.view_change(new_view, new_leader);
-        }
-        self.flight_event(EventKind::ViewChange, None, Some(new_view.0), 0);
+        self.emit(ProtocolEvent::ViewChange(new_view, new_leader));
         // Capture the whole window's evidence *before* resetting its slots —
         // write certificates and out-of-order decisions are what the new
         // leader must respect.
@@ -1368,11 +1240,11 @@ impl<S: Service> Replica<S> {
             return;
         }
         if !self.membership.contains(from) {
-            self.reject("non-member");
+            self.emit(ProtocolEvent::Rejected("non-member", None));
             return;
         }
         if self.membership.leader(new_view) != self.cfg.id || new_view < self.view {
-            self.reject("stale-view-change");
+            self.emit(ProtocolEvent::Rejected("stale-view-change", None));
             return;
         }
         let entry = self.stop_datas.entry(new_view.0).or_default();
@@ -1472,11 +1344,11 @@ impl<S: Service> Replica<S> {
             return;
         }
         if new_view < self.view {
-            self.reject("stale-view-change");
+            self.emit(ProtocolEvent::Rejected("stale-view-change", None));
             return;
         }
         if self.membership.leader(new_view) != from {
-            self.reject_from("not-leader", from);
+            self.emit(ProtocolEvent::Rejected("not-leader", Some(from)));
             return;
         }
         actions.push(Action::CancelTimer(TimerId::Sync));
@@ -1522,7 +1394,7 @@ impl<S: Service> Replica<S> {
             // Byzantine reporter (or new leader) could smuggle a tampered
             // batch in — the validity gate applies here too.
             if !self.verify_batch(&cert.batch) {
-                self.reject("bad-batch");
+                self.emit(ProtocolEvent::Rejected("bad-batch", None));
                 continue;
             }
             // Requests re-proposed from a certificate are in flight again —
@@ -1560,7 +1432,7 @@ impl<S: Service> Replica<S> {
 
     fn on_checkpoint(&mut self, from: ReplicaId, msg: CheckpointMsg) {
         if !self.membership.contains(from) {
-            self.reject("non-member");
+            self.emit(ProtocolEvent::Rejected("non-member", None));
             return;
         }
         let quorum = self.membership.quorum();
@@ -1587,7 +1459,7 @@ impl<S: Service> Replica<S> {
         }
         let designee = designee % others.len();
         self.cst = Some(CstState { replies: HashMap::new(), certified: None, designee });
-        self.flight_event(EventKind::CstStart, Some(self.last_decided.0), Some(self.view.0), 0);
+        self.emit(ProtocolEvent::CstStart(self.last_decided, self.view));
         for peer in others {
             actions.push(Action::Send(
                 peer,
@@ -1695,9 +1567,7 @@ impl<S: Service> Replica<S> {
             // partition, donor crash) are kept — zero re-fetch.
             let kept = self.chunk_store.as_ref().map(ChunkStore::done).unwrap_or(0);
             if kept > 0 {
-                if let Some(obs) = &self.obs {
-                    obs.cst_chunks_resumed(kept as u64);
-                }
+                self.emit(ProtocolEvent::CstChunksResumed(kept as u64));
             }
         } else {
             self.chunk_store = Some(ChunkStore {
@@ -1750,7 +1620,7 @@ impl<S: Service> Replica<S> {
         let start = (index as usize).saturating_mul(chunk_size);
         let end = start.saturating_add(chunk_size).min(stable.snapshot.len());
         if start >= end {
-            self.reject_from("bad-chunk", from);
+            self.emit(ProtocolEvent::Rejected("bad-chunk", Some(from)));
             return;
         }
         let data = Bytes::copy_from_slice(&stable.snapshot[start..end]);
@@ -1789,7 +1659,7 @@ impl<S: Service> Replica<S> {
             None => return,
         };
         if !in_range {
-            self.reject_from("bad-chunk", from);
+            self.emit(ProtocolEvent::Rejected("bad-chunk", Some(from)));
             return;
         }
         if duplicate {
@@ -1798,10 +1668,7 @@ impl<S: Service> Replica<S> {
         if !chunk_ok {
             // Corrupt or wrong-sized chunk: count it, charge the sender,
             // and re-request from a different source.
-            self.reject_from("bad-chunk", from);
-            if let Some(obs) = &self.obs {
-                obs.cst_chunk_rejected();
-            }
+            self.emit(ProtocolEvent::CstChunkRejected(from));
             actions.push(Action::Send(
                 next_source,
                 Message::CstChunkRequest { from: self.cfg.id, seq, index },
@@ -1811,10 +1678,7 @@ impl<S: Service> Replica<S> {
         if let Some(store) = self.chunk_store.as_mut() {
             store.chunks[index_us] = Some(data);
         }
-        if let Some(obs) = &self.obs {
-            obs.cst_chunk_fetched();
-        }
-        self.flight_event(EventKind::CstChunk, Some(seq.0), None, u64::from(index));
+        self.emit(ProtocolEvent::CstChunkFetched(seq, index));
         self.maybe_finish_cst(actions);
     }
 
@@ -1836,7 +1700,7 @@ impl<S: Service> Replica<S> {
             // Only reachable when f+1 summaries certified a manifest that is
             // inconsistent with its own snapshot digest — collusion beyond
             // the fault budget. Refuse it and retry elsewhere regardless.
-            self.reject("bad-snapshot");
+            self.emit(ProtocolEvent::Rejected("bad-snapshot", None));
             self.rotate_cst(actions);
             return;
         }
@@ -1882,7 +1746,7 @@ impl<S: Service> Replica<S> {
             digest: full.snapshot_digest,
         };
         if let Err(err) = self.log.install(checkpoint, full.suffix.clone()) {
-            self.reject(err.reason());
+            self.emit(ProtocolEvent::Rejected(err.reason(), None));
             self.rotate_cst(actions);
             return;
         }
@@ -1913,10 +1777,7 @@ impl<S: Service> Replica<S> {
         self.status = Status::Active;
         actions.push(Action::CancelTimer(TimerId::Cst));
         actions.push(Action::StateTransferred(self.last_decided));
-        if let Some(obs) = &self.obs {
-            obs.state_transferred(self.last_decided);
-        }
-        self.flight_event(EventKind::CstDone, Some(self.last_decided.0), Some(self.view.0), 0);
+        self.emit(ProtocolEvent::CstDone(self.last_decided, self.view));
         actions.push(Action::SetTimer(TimerId::Request, self.cfg.request_timeout));
         // Replay consensus traffic buffered during the transfer, for every
         // slot now inside the window (lowest first).
@@ -1984,11 +1845,11 @@ impl<S: Service> Replica<S> {
         // Verify the controller's authorization.
         let bytes = ReconfigCommand::auth_bytes(cmd.epoch, cmd.add, cmd.remove);
         if !self.keyring.verify(Principal::Controller, &bytes, &cmd.tag) {
-            self.reject("bad-reconfig-sig");
+            self.emit(ProtocolEvent::Rejected("bad-reconfig-sig", None));
             return;
         }
         if cmd.epoch != self.membership.epoch {
-            self.reject("stale-reconfig");
+            self.emit(ProtocolEvent::Rejected("stale-reconfig", None));
             return; // stale or replayed
         }
         // Enter the total order as a controller request.
@@ -2023,9 +1884,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         self.membership = self.membership.reconfigured(add, remove);
-        if let Some(obs) = &self.obs {
-            obs.epoch_changed(self.membership.epoch, self.membership.n());
-        }
+        self.emit(ProtocolEvent::EpochChange(self.membership.epoch, self.membership.n()));
         actions.push(Action::EpochChanged(self.membership.clone()));
         if remove == Some(self.cfg.id) {
             self.status = Status::Retired;

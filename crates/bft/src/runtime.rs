@@ -240,20 +240,12 @@ impl ThreadCluster {
                 flights.insert(id, rec.clone());
                 rec
             });
-            let mut instruments = Instruments::new();
-            if let Some(o) = &obs {
-                instruments = instruments.with_obs(o.clone());
-            }
-            if let Some(h) = &health {
-                instruments = instruments.with_health(h.clone());
-            }
-            if let Some(rec) = &flight {
-                instruments = instruments.with_flight(rec.clone());
-            }
-            if let Some(p) = &profiler {
-                instruments = instruments.with_profiler(p.clone());
-            }
-            replica.attach(instruments);
+            replica.attach(Instruments {
+                obs: obs.clone(),
+                health: health.clone(),
+                flight: flight.clone(),
+                profiler: profiler.clone(),
+            });
             let peers = inboxes.clone();
             let router = Arc::clone(&router);
             let running = Arc::clone(&running);

@@ -144,8 +144,8 @@ pub enum EventKind {
     /// A state-transfer chunk was fetched and verified; `extra` holds the
     /// chunk index.
     CstChunk,
-    /// The replica rebooted from durable storage; `extra` holds the
-    /// recovered stable checkpoint slot.
+    /// The replica rebooted from durable storage; `seq` holds the
+    /// recovered stable checkpoint slot, `extra` the virtual replay µs.
     Recover,
 }
 

@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::clock::Clock;
-use crate::metrics::{bucket_bound, bucket_index, HISTOGRAM_BUCKETS};
+use crate::metrics::{bucket_index, rank_bound, HISTOGRAM_BUCKETS};
 use crate::trace::FieldValue;
 use crate::Obs;
 
@@ -175,14 +175,7 @@ impl WindowStats {
         }
         let q = q_permille.min(1000);
         let rank = (self.count * q).div_ceil(1000).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.hist.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(bucket_bound(i));
-            }
-        }
-        Some(bucket_bound(HISTOGRAM_BUCKETS - 1))
+        Some(rank_bound(&self.hist, rank))
     }
 
     /// Integer mean of the window (`None` when empty).

@@ -35,6 +35,22 @@ pub fn bucket_bound(i: usize) -> u64 {
     }
 }
 
+/// Upper bound of the bucket holding the `rank`-th smallest sample
+/// (1-based) of a bucketed histogram — the one walk behind every quantile
+/// estimate. Each caller picks its own rank formula; a rank past the total
+/// count lands in the last bucket.
+#[must_use]
+pub(crate) fn rank_bound(buckets: &[u64; HISTOGRAM_BUCKETS], rank: u64) -> u64 {
+    let mut seen = 0u64;
+    for (i, &n) in buckets.iter().enumerate() {
+        seen += n;
+        if seen >= rank {
+            return bucket_bound(i);
+        }
+    }
+    bucket_bound(HISTOGRAM_BUCKETS - 1)
+}
+
 /// The bucket index holding `value`: the smallest `i` with
 /// `value <= bucket_bound(i)`.
 #[must_use]
@@ -168,14 +184,7 @@ impl HistogramSnapshot {
             return None;
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(bucket_bound(i));
-            }
-        }
-        Some(bucket_bound(HISTOGRAM_BUCKETS - 1))
+        Some(rank_bound(&self.buckets, rank))
     }
 
     /// Mean sample value (`None` when empty).
@@ -577,6 +586,18 @@ mod tests {
         let registry = Registry::new();
         registry.counter("x");
         registry.gauge("x");
+    }
+
+    #[test]
+    fn rank_bound_walks_to_the_bucket_holding_the_rank() {
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        buckets[bucket_index(3)] = 2; // two samples in (2, 4]
+        buckets[bucket_index(100)] = 1; // one in (64, 128]
+        assert_eq!(rank_bound(&buckets, 1), 4);
+        assert_eq!(rank_bound(&buckets, 2), 4);
+        assert_eq!(rank_bound(&buckets, 3), 128);
+        // A rank past the total lands in the unbounded last bucket.
+        assert_eq!(rank_bound(&buckets, 4), u64::MAX);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use lazarus_bft::batcher::BatchPolicy;
 use lazarus_bft::client::Client;
 use lazarus_bft::crypto::{Keyring, Principal};
 use lazarus_bft::messages::{Batch, CheckpointMsg, ConsensusMsg, Message, ReconfigCommand, Reply};
@@ -83,8 +82,6 @@ pub struct SimConfig {
     /// Consensus pipeline window: slots allowed in flight at once
     /// (1 = the classic one-slot-at-a-time pipeline).
     pub window: u64,
-    /// Leader batch-sizing policy.
-    pub batch_policy: BatchPolicy,
 }
 
 impl Default for SimConfig {
@@ -97,7 +94,6 @@ impl Default for SimConfig {
             initial_view: 0,
             cst_chunk_bytes: 256 * 1024, // ReplicaConfig's default
             window: 1,
-            batch_policy: BatchPolicy::Fixed,
         }
     }
 }
@@ -294,17 +290,29 @@ impl SimCluster {
         self.flight_capacity = Some(capacity);
         let ids: Vec<u32> = self.nodes.keys().copied().collect();
         for id in ids {
-            self.attach_flight(ReplicaId(id));
+            let flight = self.instruments(ReplicaId(id)).flight;
+            if let Some(node) = self.nodes.get_mut(&id) {
+                node.replica.attach(Instruments { flight, ..Instruments::new() });
+            }
         }
     }
 
-    fn attach_flight(&mut self, id: ReplicaId) {
-        let Some(capacity) = self.flight_capacity else { return };
-        let rec = self.flights.entry(id.0).or_insert_with(|| {
-            FlightRecorder::new(id.0, capacity, Arc::clone(&self.sim_clock) as Arc<dyn Clock>)
+    /// What node `id`'s replica records into: the observed cluster's
+    /// metrics and health tracker, plus the node's flight recorder once
+    /// tracing is on (created on first use, kept across reboots).
+    fn instruments(&mut self, id: ReplicaId) -> Instruments {
+        let clock = Arc::clone(&self.sim_clock) as Arc<dyn Clock>;
+        let flight = self.flight_capacity.map(|capacity| {
+            self.flights
+                .entry(id.0)
+                .or_insert_with(|| FlightRecorder::new(id.0, capacity, clock))
+                .clone()
         });
-        if let Some(node) = self.nodes.get_mut(&id.0) {
-            node.replica.attach(Instruments::new().with_flight(rec.clone()));
+        Instruments {
+            obs: self.obs.as_ref().map(|o| o.bundle.clone()),
+            health: self.obs.as_ref().map(|o| o.health.clone()),
+            flight,
+            profiler: None,
         }
     }
 
@@ -527,11 +535,7 @@ impl SimCluster {
         let Ok((journal, recovered)) = Journal::open(jcfg) else { return };
         let (mut replica, actions, info) =
             Replica::recover(rcfg, service, Box::new(journal), recovered);
-        if let Some(obs) = &self.obs {
-            replica.attach(
-                Instruments::new().with_obs(obs.bundle.clone()).with_health(obs.health.clone()),
-            );
-        }
+        replica.attach(self.instruments(id));
         if let Some(checker) = self.checker.as_mut() {
             checker.record_recovery(id, info.stable_seq, info.stable_digest);
         }
@@ -545,9 +549,8 @@ impl SimCluster {
             // stay monotone so pre-crash timer events remain dead.
             node.station = ProcessingStation::new(node.profile.cores);
         }
-        self.attach_flight(id);
         // Emits the recovery metrics + the `recover` flight event, so it
-        // runs after the recorder is re-attached.
+        // runs after the sinks are attached.
         if let Some(node) = self.nodes.get_mut(&id.0) {
             node.replica.note_recovered(&info);
         }
@@ -572,13 +575,8 @@ impl SimCluster {
         rcfg.initial_view = View(self.cfg.initial_view);
         rcfg.cst_chunk_bytes = self.cfg.cst_chunk_bytes;
         rcfg.window = self.cfg.window;
-        rcfg.batch_policy = self.cfg.batch_policy;
         let (mut replica, actions) = Replica::new(rcfg, service);
-        if let Some(obs) = &self.obs {
-            replica.attach(
-                Instruments::new().with_obs(obs.bundle.clone()).with_health(obs.health.clone()),
-            );
-        }
+        replica.attach(self.instruments(id));
         let node = Node {
             replica,
             station: ProcessingStation::new(profile.cores),
@@ -589,7 +587,6 @@ impl SimCluster {
             durable: None,
         };
         self.nodes.insert(id.0, node);
-        self.attach_flight(id);
         let at = self.queue.now();
         self.absorb(id, at, actions, UNTRACED);
     }
@@ -618,7 +615,6 @@ impl SimCluster {
         rcfg.initial_view = View(self.cfg.initial_view);
         rcfg.cst_chunk_bytes = self.cfg.cst_chunk_bytes;
         rcfg.window = self.cfg.window;
-        rcfg.batch_policy = self.cfg.batch_policy;
         // Sync-on-checkpoint still happens; per-record fsync off keeps mass
         // simulation fast (virtual fsync time is charged either way).
         let jcfg = JournalConfig { fsync: false, ..JournalConfig::new(dir) };
@@ -634,11 +630,7 @@ impl SimCluster {
             }
             (replica, actions)
         };
-        if let Some(obs) = &self.obs {
-            replica.attach(
-                Instruments::new().with_obs(obs.bundle.clone()).with_health(obs.health.clone()),
-            );
-        }
+        replica.attach(self.instruments(id));
         let node = Node {
             replica,
             station: ProcessingStation::new(profile.cores),
@@ -649,7 +641,6 @@ impl SimCluster {
             durable: Some(DurableSpec { dir: dir.to_path_buf(), rcfg, factory }),
         };
         self.nodes.insert(id.0, node);
-        self.attach_flight(id);
         let at = self.queue.now();
         self.absorb(id, at, actions, UNTRACED);
         Ok(())
@@ -673,13 +664,8 @@ impl SimCluster {
         rcfg.initial_view = View(self.cfg.initial_view);
         rcfg.cst_chunk_bytes = self.cfg.cst_chunk_bytes;
         rcfg.window = self.cfg.window;
-        rcfg.batch_policy = self.cfg.batch_policy;
         let (mut replica, actions) = Replica::new(rcfg, service);
-        if let Some(obs) = &self.obs {
-            replica.attach(
-                Instruments::new().with_obs(obs.bundle.clone()).with_health(obs.health.clone()),
-            );
-        }
+        replica.attach(self.instruments(id));
         let node = Node {
             replica,
             station: ProcessingStation::new(profile.cores),
@@ -690,7 +676,6 @@ impl SimCluster {
             durable: None,
         };
         self.nodes.insert(id.0, node);
-        self.attach_flight(id);
         self.queue.schedule_at(at + profile.boot, Ev::NodeUp(id));
         // The joiner's initial actions (its CST requests) fire once it is up.
         let up_at = at + profile.boot;
@@ -718,7 +703,10 @@ impl SimCluster {
             .keyring
             .sign(Principal::Controller, &ReconfigCommand::auth_bytes(epoch, add, remove));
         let cmd = ReconfigCommand { epoch, add, remove, tag };
-        let ids: Vec<u32> = self.nodes.keys().copied().collect();
+        // Node-id order: deliveries scheduled for the same instant run in
+        // insertion order, so hash-map order would leak into the run.
+        let mut ids: Vec<u32> = self.nodes.keys().copied().collect();
+        ids.sort_unstable();
         for id in ids {
             self.enqueue_deliver(at, ReplicaId(id), Arc::new(Message::Reconfig(cmd.clone())), None);
         }

@@ -37,10 +37,15 @@ pub mod channel {
 
     impl<T> Sender<T> {
         /// Queues `value`; fails only when the receiver is gone.
+        ///
+        /// The depth counter is raised *before* the value becomes visible:
+        /// a receiver that pops it at once must never decrement first, or
+        /// [`Receiver::len`] would wrap to about 2^64.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.inner.send(value)?;
             self.depth.fetch_add(1, Ordering::Relaxed);
-            Ok(())
+            self.inner.send(value).inspect_err(|_| {
+                self.depth.fetch_sub(1, Ordering::Relaxed);
+            })
         }
     }
 
@@ -185,5 +190,26 @@ mod tests {
         assert!(!rx.is_empty());
         assert_eq!(rx.recv().unwrap(), 2);
         assert!(rx.is_empty());
+    }
+
+    #[test]
+    fn len_never_wraps_under_concurrent_send_and_receive() {
+        const SENDS: usize = 200_000;
+        let (tx, rx) = channel::unbounded();
+        let sender = std::thread::spawn(move || {
+            for i in 0..SENDS {
+                tx.send(i).unwrap();
+            }
+        });
+        // The receiver pops each value the moment it lands: if the sender
+        // counted it only after publishing, the pop would decrement first.
+        let mut max_len = 0;
+        for _ in 0..SENDS {
+            rx.recv().unwrap();
+            max_len = max_len.max(rx.len());
+        }
+        sender.join().unwrap();
+        assert!(max_len <= SENDS, "len() wrapped to {max_len} with {SENDS} values sent");
+        assert_eq!(rx.len(), 0);
     }
 }
